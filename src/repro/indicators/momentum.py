@@ -25,14 +25,17 @@ def rsi(values: np.ndarray, window: int = 14) -> np.ndarray:
     delta = np.diff(values)
     gains = np.clip(delta, 0.0, None)
     losses = np.clip(-delta, 0.0, None)
-    # Wilder: first average is plain mean, then recursive smoothing.
-    avg_gain = gains[:window].mean()
-    avg_loss = losses[:window].mean()
-    out[window] = _rsi_from_averages(avg_gain, avg_loss)
-    for i in range(window, delta.size):
-        avg_gain = (avg_gain * (window - 1) + gains[i]) / window
-        avg_loss = (avg_loss * (window - 1) + losses[i]) / window
-        out[i + 1] = _rsi_from_averages(avg_gain, avg_loss)
+    # Wilder: first average is plain mean, then recursive smoothing,
+    # run over plain floats in the same operation order as an indexed
+    # numpy loop (bit-identical output).
+    avg_gain = float(gains[:window].mean())
+    avg_loss = float(losses[:window].mean())
+    smoothed = [_rsi_from_averages(avg_gain, avg_loss)]
+    for gain, loss in zip(gains[window:].tolist(), losses[window:].tolist()):
+        avg_gain = (avg_gain * (window - 1) + gain) / window
+        avg_loss = (avg_loss * (window - 1) + loss) / window
+        smoothed.append(_rsi_from_averages(avg_gain, avg_loss))
+    out[window:] = smoothed
     return out
 
 

@@ -7,6 +7,8 @@ and friends among the top short-term driving factors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..frame.ops import rolling_mean
@@ -30,15 +32,18 @@ def ema(values: np.ndarray, span: int) -> np.ndarray:
         raise ValueError("span must be >= 1")
     values = np.asarray(values, dtype=np.float64)
     alpha = 2.0 / (span + 1.0)
-    out = np.full(values.size, np.nan)
-    state = np.nan
-    for i, x in enumerate(values):
-        if np.isnan(state):
-            state = x if not np.isnan(x) else np.nan
-        elif not np.isnan(x):
+    # Plain-float recursion (``x != x`` is the NaN test): the same IEEE
+    # operations in the same order as an element-indexed numpy loop, so
+    # the output bytes match it exactly, at a fraction of the cost.
+    out = []
+    state = math.nan
+    for x in values.tolist():
+        if state != state:
+            state = x if x == x else math.nan
+        elif x == x:
             state = alpha * x + (1.0 - alpha) * state
-        out[i] = state
-    return out
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def wma(values: np.ndarray, window: int) -> np.ndarray:

@@ -85,36 +85,50 @@ def generate_latent_market(config: SimulationConfig) -> LatentMarket:
     vol_state = _vol_modulation(n, bank.generator("vol_state"))
     jumps = _jump_component(n, bank)
 
-    sentiment = np.zeros(n)
-    log_ret = np.zeros(n)
-    log_lvl = np.zeros(n)
-    fair = 0.5 * adoption  # fundamental log value implied by adoption
+    # The loop below runs over plain floats, in the same operation order
+    # as an element-indexed numpy loop, so every output byte matches it.
+    # Elementwise products are exact either way, so ``shock`` is
+    # precomputed. The trailing 30-day flow mean does not depend on the
+    # loop; it stays a per-slice ``mean``, whose summation order is fixed
+    # by the slice, rather than a reduction over a strided window view,
+    # whose order is up to numpy's iterator.
+    fair = (0.5 * adoption).tolist()  # fundamental log value
+    shock = (vol * vol_state * eps).tolist()
+    flow_mean = [0.0] + [
+        float(flows[max(0, t - 30):t].mean()) for t in range(1, n)
+    ]
+    drift = drift.tolist()
+    jumps = jumps.tolist()
+    sent_noise = sent_noise.tolist()
+    macro_path = macro.tolist()
 
     lag = config.macro_lag
+    sentiment: list[float] = []
+    log_ret: list[float] = []
+    log_lvl: list[float] = []
     level = 0.0
+    sen = 0.0
     for t in range(n):
-        mom = log_ret[max(0, t - 5):t].mean() if t > 0 else 0.0
-        sen = sentiment[t - 1] if t > 0 else 0.0
-        flo = flows[max(0, t - 30):t].mean() if t > 0 else 0.0
-        mac = macro[t - lag] if t >= lag else 0.0
+        mom = _small_mean(log_ret[max(0, t - 5):t]) if t > 0 else 0.0
+        mac = macro_path[t - lag] if t >= lag else 0.0
         rev = config.reversion_speed * (fair[t] - level)
         ret = (
             drift[t]
             + config.momentum_coupling * mom
             + config.sentiment_coupling * sen
-            + config.flow_coupling * flo
+            + config.flow_coupling * flow_mean[t]
             + config.macro_coupling * mac
             + rev
-            + vol[t] * vol_state[t] * eps[t]
+            + shock[t]
             + jumps[t]
         )
-        log_ret[t] = ret
+        log_ret.append(ret)
         level += ret
-        log_lvl[t] = level
+        log_lvl.append(level)
         # Sentiment chases the recent tape but has its own persistent mood.
-        recent = log_ret[max(0, t - 6):t + 1].mean()
-        prev = sentiment[t - 1] if t > 0 else 0.0
-        sentiment[t] = 0.90 * prev + 8.0 * recent + 0.30 * sent_noise[t]
+        recent = _small_mean(log_ret[max(0, t - 6):t + 1])
+        sen = 0.90 * sen + 8.0 * recent + 0.30 * sent_noise[t]
+        sentiment.append(sen)
 
     return LatentMarket(
         index=index,
@@ -122,10 +136,23 @@ def generate_latent_market(config: SimulationConfig) -> LatentMarket:
         macro=macro,
         adoption=adoption,
         flows=flows,
-        sentiment=sentiment,
-        market_log_return=log_ret,
-        market_log_level=log_lvl,
+        sentiment=np.array(sentiment, dtype=np.float64),
+        market_log_return=np.array(log_ret, dtype=np.float64),
+        market_log_level=np.array(log_lvl, dtype=np.float64),
     )
+
+
+def _small_mean(values: list[float]) -> float:
+    """numpy's float64 mean of a short (< 8 element) list, bit for bit.
+
+    Below eight elements numpy's pairwise sum is a plain left-to-right
+    accumulation onto the 0.0 identity. Python's ``sum`` is not: from
+    3.12 it compensates float rounding.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total / len(values)
 
 
 def _vol_modulation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,13 +162,14 @@ def _vol_modulation(n: int, rng: np.random.Generator) -> np.ndarray:
     |returns| that real crypto markets show — calm months alternate with
     turbulent ones even within a single regime.
     """
-    out = np.empty(n)
+    states = []
     state = 0.0
-    shocks = rng.normal(scale=0.10, size=n)
-    for t in range(n):
-        state = 0.97 * state + shocks[t]
-        out[t] = np.exp(state - 0.17)  # -sigma^2/2-ish: mean ~1
-    return out
+    for shock in rng.normal(scale=0.10, size=n).tolist():
+        state = 0.97 * state + shock
+        states.append(state)
+    # numpy's exp of a scalar and of an array agree bit for bit;
+    # math.exp does not.
+    return np.exp(np.array(states, dtype=np.float64) - 0.17)  # mean ~1
 
 
 def _jump_component(n: int, bank: SeedBank) -> np.ndarray:
@@ -167,19 +195,21 @@ def _macro_factor(n: int, bank: SeedBank) -> np.ndarray:
     One substream per draw keeps each array prefix-stable under
     extension (see :mod:`repro.synth.rng`).
     """
-    out = np.zeros(n)
+    out = []
     state = 0.0
     shocks = bank.substream("macro", "shocks").normal(scale=0.018, size=n)
     shift_days = bank.substream("macro", "shift_days").random(n) < 1.0 / 400.0
     shift_sizes = bank.substream("macro", "shift_sizes").normal(
         scale=0.8, size=n
     )
-    for t in range(n):
-        state = 0.998 * state + shocks[t]
-        if shift_days[t]:
-            state += shift_sizes[t]
-        out[t] = state
-    return out
+    for shock, shift, size in zip(
+        shocks.tolist(), shift_days.tolist(), shift_sizes.tolist()
+    ):
+        state = 0.998 * state + shock
+        if shift:
+            state += size
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _adoption_curve(n: int, regimes: np.ndarray, flows: np.ndarray,
@@ -211,10 +241,10 @@ def _flow_process(n: int, regimes: np.ndarray,
         [0.75, -0.75, -1.8],
         default=0.05,
     )
-    out = np.zeros(n)
+    out = []
     state = 0.0
     noise = rng.normal(scale=0.16, size=n)
-    for t in range(n):
-        state = 0.965 * state + 0.035 * target[t] + noise[t]
-        out[t] = state
-    return out
+    for pull, shock in zip(target.tolist(), noise.tolist()):
+        state = 0.965 * state + 0.035 * pull + shock
+        out.append(state)
+    return np.array(out, dtype=np.float64)

@@ -84,15 +84,14 @@ def _concentration_path(n: int, rng: np.random.Generator) -> np.ndarray:
     reads from the growing importance of ``fish_pct`` / ``SplyAdrBalUSD10K``
     in the 2019 set.
     """
-    out = np.empty(n)
+    out = []
     state = 1.55
-    noise = rng.normal(scale=0.0018, size=n)
-    for t in range(n):
+    for shock in rng.normal(scale=0.0018, size=n).tolist():
         # gentle mean reversion toward 1.20 plus a slow secular decline
-        state += -0.0002 * (state - 1.20) - 0.00008 + noise[t]
+        state += -0.0002 * (state - 1.20) - 0.00008 + shock
         state = min(max(state, 1.12), 1.9)
-        out[t] = state
-    return out
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _address_count_fraction(threshold: float, scale: float,
@@ -561,16 +560,15 @@ def generate_eth_onchain(config: SimulationConfig, latent: LatentMarket,
 
 def _ema_like(values: np.ndarray, span: int) -> np.ndarray:
     """NaN-free EMA (seeded at the first value) for internal derivations."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    if values.size == 0:
-        return out
+    values = np.asarray(values, dtype=np.float64).tolist()
     alpha = 2.0 / (span + 1.0)
-    state = values[0]
-    for i, x in enumerate(values):
+    out = []
+    # Unlike ``indicators.ema`` the recursion also runs at index 0.
+    state = values[0] if values else 0.0
+    for x in values:
         state = alpha * x + (1 - alpha) * state
-        out[i] = state
-    return out
+        out.append(state)
+    return np.array(out, dtype=np.float64)
 
 
 def _trailing_roi(price: np.ndarray, window: int) -> np.ndarray:

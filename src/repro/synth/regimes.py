@@ -78,15 +78,15 @@ class RegimeProcess:
         """Sample ``n_days`` of regimes as an int array."""
         if n_days < 0:
             raise ValueError("n_days must be >= 0")
-        path = np.empty(n_days, dtype=np.int64)
+        path = []
         state = int(initial)
-        cdf = np.cumsum(self.transitions, axis=1)
-        draws = rng.random(n_days)
-        for t in range(n_days):
-            path[t] = state
-            state = int(np.searchsorted(cdf[state], draws[t], side="right"))
-            state = min(state, 3)
-        return path
+        cdf = np.cumsum(self.transitions, axis=1).tolist()
+        for draw in rng.random(n_days).tolist():
+            path.append(state)
+            # Rows are non-decreasing, so counting ``cdf <= draw`` is a
+            # right-sided search for the next state.
+            state = min(sum(c <= draw for c in cdf[state]), 3)
+        return np.array(path, dtype=np.int64)
 
     @staticmethod
     def drift(path: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ from .rng import SeedBank
 
 __all__ = ["generate_sentiment"]
 
+_UNIX_EPOCH_ORDINAL = 719163  # datetime.date(1970, 1, 1).toordinal()
+
 
 def generate_sentiment(config: SimulationConfig,
                        latent: LatentMarket) -> Frame:
@@ -129,13 +131,10 @@ def _squash(values: np.ndarray) -> np.ndarray:
 
 def _month_ids(ordinals: np.ndarray) -> np.ndarray:
     """Integer id per calendar month for each ordinal date."""
-    import datetime as dt
-
-    ids = np.empty(ordinals.size, dtype=np.int64)
-    for i, o in enumerate(ordinals):
-        d = dt.date.fromordinal(int(o))
-        ids[i] = d.year * 12 + d.month
-    return ids
+    days = np.asarray(ordinals, dtype=np.int64) - _UNIX_EPOCH_ORDINAL
+    months = days.astype("datetime64[D]").astype("datetime64[M]")
+    # months since 1970-01 → year * 12 + month (1-based)
+    return months.astype(np.int64) + (1970 * 12 + 1)
 
 
 def _monthly_average(values: np.ndarray, month_ids: np.ndarray) -> np.ndarray:
