@@ -22,7 +22,7 @@ import numpy as np
 
 from ..obs import current_metrics, span
 from .compiled import current_predictor, ensemble_compiled
-from .tree import DecisionTreeRegressor, bin_features
+from .tree import DecisionTreeRegressor, bin_features, rank_features
 from .warm import fit_signature, reusable_members
 
 __all__ = ["GradientBoostingRegressor"]
@@ -48,9 +48,10 @@ class GradientBoostingRegressor:
         XGBoost-style L2 leaf regularisation.
     splitter:
         Split-finding kernel for the stage trees: ``"exact"`` (default)
-        or ``"hist"``. ``X`` is constant across stages, so hist mode
-        bins the features once per ``fit`` and every stage reuses the
-        codes (subsampled stages gather their rows' codes).
+        or ``"hist"``. ``X`` is constant across stages, so the features
+        are encoded once per ``fit`` (rank codes for exact, bin codes
+        for hist) and every stage reuses the codes (subsampled stages
+        gather their rows' codes).
     random_state:
         Seed for subsampling and per-node feature draws.
     """
@@ -155,14 +156,13 @@ class GradientBoostingRegressor:
                   n_estimators=self.n_estimators,
                   reused=0 if reused is None else len(reused)):
             n_reused = len(reused) if reused is not None else 0
-            if self.splitter == "hist" and n_reused < self.n_estimators:
-                bins = bin_features(X)
-            else:
+            hist = self.splitter == "hist"
+            if n_reused == self.n_estimators:
                 bins = None
-            if reused is not None and n_reused == self.n_estimators:
                 self.bin_cuts_ = warm_start_from.bin_cuts_
             else:
-                self.bin_cuts_ = bins.cuts if bins is not None else None
+                bins = bin_features(X) if hist else rank_features(X)
+                self.bin_cuts_ = bins.cuts if hist else None
             self._compiled_ = None
             self._compile_reuse_ = None
             sample_size = max(1, int(round(self.subsample * n_samples)))
@@ -191,9 +191,7 @@ class GradientBoostingRegressor:
                 if sample_size < n_samples:
                     rows = rng.choice(
                         n_samples, size=sample_size, replace=False)
-                    tree.fit(
-                        X[rows], residual[rows],
-                        bins=bins.take(rows) if bins is not None else None)
+                    tree.fit(X[rows], residual[rows], bins=bins.take(rows))
                 else:
                     tree.fit(X, residual, bins=bins)
                 current += self.learning_rate * tree.tree_.predict(X)

@@ -20,18 +20,20 @@ import numpy as np
 from ..obs import current_metrics, span
 from ..parallel import ParallelMap, spawn_seeds
 from .compiled import current_predictor, ensemble_compiled
-from .tree import DecisionTreeRegressor, bin_features
+from .tree import DecisionTreeRegressor, bin_features, rank_features
 from .warm import fit_signature, reusable_members
 
 __all__ = ["RandomForestRegressor"]
 
 
-def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None):
+def _fit_tree(seed, X, y, tree_params, bootstrap, bins):
     """Fit one tree from its own seed sequence (a pure work unit).
 
-    ``bins`` is the forest-shared :class:`~repro.ml.tree.FeatureBins`
-    for ``splitter="hist"``: the quantile pass runs once per forest and
-    each bootstrap draw just gathers its rows' codes.
+    ``bins`` is the forest-shared feature encoding — a
+    :class:`~repro.ml.tree.FeatureBins` for ``splitter="hist"``, a
+    :class:`~repro.ml.tree.FeatureRanks` for ``splitter="exact"``: it
+    is computed once per forest and each bootstrap draw just gathers
+    its rows' codes.
     """
     rng = np.random.default_rng(seed)
     tree = DecisionTreeRegressor(
@@ -40,10 +42,7 @@ def _fit_tree(seed, X, y, tree_params, bootstrap, bins=None):
     if bootstrap:
         n_samples = X.shape[0]
         sample = rng.integers(0, n_samples, size=n_samples)
-        return tree.fit(
-            X[sample], y[sample],
-            bins=bins.take(sample) if bins is not None else None,
-        )
+        return tree.fit(X[sample], y[sample], bins=bins.take(sample))
     return tree.fit(X, y, bins=bins)
 
 
@@ -63,8 +62,9 @@ class RandomForestRegressor:
         Draw each tree's training set with replacement (size ``n``).
     splitter:
         Split-finding kernel for every tree: ``"exact"`` (default) or
-        ``"hist"`` (quantile-binned histogram splits; features are
-        binned once per forest and the codes shared across trees).
+        ``"hist"`` (quantile-binned histogram splits). Either way the
+        features are encoded once per forest (rank codes for exact, bin
+        codes for hist) and the codes shared across trees.
     random_state:
         Seed controlling bootstrap draws and per-node feature subsets.
         Results do not depend on ``n_jobs``.
@@ -169,8 +169,12 @@ class RandomForestRegressor:
                 self.bin_cuts_ = warm_start_from.bin_cuts_
                 self.estimators_ = reused
             else:
-                bins = bin_features(X) if self.splitter == "hist" else None
-                self.bin_cuts_ = bins.cuts if bins is not None else None
+                if self.splitter == "hist":
+                    bins = bin_features(X)
+                    self.bin_cuts_ = bins.cuts
+                else:
+                    bins = rank_features(X)
+                    self.bin_cuts_ = None
                 seeds = spawn_seeds(self.random_state, self.n_estimators)
                 fit_one = partial(
                     _fit_tree, X=X, y=y, tree_params=tree_params,

@@ -19,11 +19,14 @@ Leaf predictions are correspondingly ``G / (n + lambda)``.
 Two split-finding kernels are available via ``splitter``:
 
 ``"exact"`` (default)
-    Every distinct value boundary is a candidate. The per-node search is
-    fully vectorised: the node's feature block is gathered feature-major
-    (contiguous per-feature rows, no ``np.ix_`` row-scatter on the
-    sample-major matrix), all features are sorted at once and every
-    position is scored with prefix sums — ``O(n log n * f)`` per node.
+    Every distinct value boundary is a candidate. Each feature is
+    rank-coded once per fit (:class:`FeatureRanks`: dense ranks,
+    ``uint16`` up to 65,535 rows); ensembles rank once per *ensemble*
+    fit and share the codes across member trees. The per-node search
+    gathers the node's code block feature-major, stable-sorts every
+    feature at once (a radix sort on ``uint16`` codes) and scores every
+    position with prefix sums. Codes sort exactly as the values do, so
+    the trees are the ones a float sort grows, bit for bit.
 ``"hist"``
     LightGBM-style histogram splitting. Each feature is quantile-binned
     once per ``fit`` (at most :data:`MAX_BINS` = 256 bins, ``uint8``
@@ -53,8 +56,10 @@ __all__ = [
     "MAX_BINS",
     "DecisionTreeRegressor",
     "FeatureBins",
+    "FeatureRanks",
     "TreeStructure",
     "bin_features",
+    "rank_features",
 ]
 
 _LEAF = -1
@@ -64,6 +69,10 @@ _LEAF = -1
 MAX_BINS = 256
 
 _SPLITTERS = ("exact", "hist")
+
+#: Largest row count whose rank codes are stored as ``uint16``: numpy's
+#: stable argsort is a radix sort only for integers of 16 bits or fewer.
+_RANK16_MAX_ROWS = 65_535
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,59 @@ def bin_features(X, max_bins: int | None = None) -> FeatureBins:
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")
         cuts.append(cut)
     return FeatureBins(codes=codes, cuts=tuple(cuts))
+
+
+@dataclass(frozen=True)
+class FeatureRanks:
+    """Per-feature dense-rank codes of a feature matrix (``splitter="exact"``).
+
+    Attributes
+    ----------
+    codes:
+        ``(n_features, n_samples)`` feature-major rank codes. Equal values
+        (``-0.0`` and ``0.0`` included) share a code and codes sort in
+        the same order as the values, so a stable argsort of any row
+        subset's codes equals the stable argsort of its values.
+        ``uint16`` up to 65,535 rows, ``int64`` above.
+    """
+
+    codes: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "FeatureRanks":
+        """Codes restricted to a row subset (bootstrap and subsample
+        members). They are no longer dense but still order-preserving,
+        which is all the split search relies on."""
+        return FeatureRanks(codes=self.codes[:, rows])
+
+    def __shm_share__(self, share) -> "FeatureRanks":
+        """Copy with the code matrix routed through the shared-memory
+        transport (:func:`repro.parallel.share_payload` protocol)."""
+        return FeatureRanks(codes=share(self.codes))
+
+
+def rank_features(X) -> FeatureRanks:
+    """Dense-rank every feature column of the NaN-free matrix ``X``."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    if np.isnan(X).any():
+        raise ValueError("training data must be NaN-free")
+    n_samples = X.shape[0]
+    dtype = np.uint16 if n_samples <= _RANK16_MAX_ROWS else np.int64
+    XT = np.ascontiguousarray(X.T)
+    # Tied values get one code whatever order a sort leaves them in, so
+    # the fast unstable sorts serve here; only the split search needs
+    # stability.
+    order = np.argsort(XT, axis=1)
+    sorted_x = np.sort(XT, axis=1)
+    # A new rank starts wherever the sorted value strictly increases;
+    # ``>`` treats -0.0 and 0.0 as equal, as the float sort does.
+    step = np.zeros(XT.shape, dtype=dtype)
+    np.greater(sorted_x[:, 1:], sorted_x[:, :-1], out=step[:, 1:])
+    codes = np.empty_like(step)
+    np.put_along_axis(codes, order, np.cumsum(step, axis=1, dtype=dtype),
+                      axis=1)
+    return FeatureRanks(codes=codes)
 
 
 @dataclass
@@ -389,13 +451,14 @@ class DecisionTreeRegressor:
         return self
 
     # ------------------------------------------------------------------
-    def fit(self, X, y, bins: FeatureBins | None = None
+    def fit(self, X, y, bins: FeatureBins | FeatureRanks | None = None
             ) -> "DecisionTreeRegressor":
         """Fit the estimator on (X, y); returns self.
 
-        ``bins`` (hist splitter only) short-circuits the per-fit
-        quantile binning with a precomputed :class:`FeatureBins` whose
-        rows match ``X`` — ensembles bin once and share it across
+        ``bins`` short-circuits the per-fit feature encoding with one
+        precomputed for rows matching ``X``: a :class:`FeatureBins` for
+        ``splitter="hist"``, a :class:`FeatureRanks` for
+        ``splitter="exact"``. Ensembles encode once and share it across
         member trees.
         """
         X = np.asarray(X, dtype=np.float64)
@@ -408,62 +471,29 @@ class DecisionTreeRegressor:
             raise ValueError("cannot fit on an empty dataset")
         if np.isnan(X).any() or np.isnan(y).any():
             raise ValueError("training data must be NaN-free")
+        hist = self.splitter == "hist"
         if bins is not None:
-            if self.splitter != "hist":
+            kind, shape = ((FeatureBins, X.shape) if hist
+                           else (FeatureRanks, X.shape[::-1]))
+            if not isinstance(bins, kind):
                 raise ValueError(
-                    "precomputed bins require splitter='hist'"
+                    f"precomputed {type(bins).__name__} do not fit "
+                    f"splitter={self.splitter!r} (it takes {kind.__name__})"
                 )
-            if bins.codes.shape != X.shape:
+            if bins.codes.shape != shape:
                 raise ValueError(
                     "bins shape does not match X "
-                    f"({bins.codes.shape} vs {X.shape})"
+                    f"({bins.codes.shape} vs {shape})"
                 )
-        n_samples, n_features = X.shape
+        n_features = X.shape[1]
         self.n_features_in_ = n_features
         rng = np.random.default_rng(self.random_state)
         k_features = _resolve_max_features(self.max_features, n_features)
-
         lam = float(self.reg_lambda)
-
-        children_left: list[int] = []
-        children_right: list[int] = []
-        feature: list[int] = []
-        threshold: list[float] = []
-        value: list[float] = []
-        n_node: list[int] = []
-        impurity: list[float] = []
-
-        def new_node(idx: np.ndarray) -> int:
-            node_id = len(value)
-            y_node = y[idx]
-            total = float(y_node.sum())
-            n = idx.size
-            children_left.append(_LEAF)
-            children_right.append(_LEAF)
-            feature.append(_LEAF)
-            threshold.append(np.nan)
-            value.append(total / (n + lam))
-            n_node.append(n)
-            impurity.append(float(np.mean((y_node - total / n) ** 2)))
-            return node_id
-
-        def splittable(node_id: int, idx: np.ndarray, depth: int) -> bool:
-            n = idx.size
-            return not (
-                n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or impurity[node_id] == 0.0
-            )
-
-        def draw_feats() -> np.ndarray:
-            if k_features < n_features:
-                return rng.choice(n_features, size=k_features,
-                                  replace=False)
-            return np.arange(n_features)
+        lists: tuple[list, ...] = ([], [], [], [], [], [], [])
 
         self._compiled_ = None
-        if self.splitter == "hist":
+        if hist:
             current_metrics().counter("ml.tree_fit.hist").inc()
             if bins is None:
                 bins = bin_features(X)
@@ -471,16 +501,16 @@ class DecisionTreeRegressor:
             # thresholds back to bin codes (repro.ml.compiled); the
             # per-row codes stay fit-local.
             self.bin_cuts_ = bins.cuts
-            lists = (children_left, children_right, feature, threshold,
-                     value, n_node, impurity)
             self._grow_hist(X, y, bins, lam, rng, k_features, lists)
         else:
             current_metrics().counter("ml.tree_fit.exact").inc()
             self.bin_cuts_ = None
-            nodes = (children_left, children_right, feature, threshold)
-            self._grow_exact(X, y, lam, new_node, splittable,
-                             draw_feats, nodes)
+            if bins is None:
+                bins = rank_features(X)
+            self._grow_exact(X, y, bins, lam, rng, k_features, lists)
 
+        (children_left, children_right, feature, threshold,
+         value, n_node, impurity) = lists
         self.tree_ = TreeStructure(
             children_left=np.asarray(children_left, dtype=np.int64),
             children_right=np.asarray(children_right, dtype=np.int64),
@@ -495,102 +525,143 @@ class DecisionTreeRegressor:
     # ------------------------------------------------------------------
     # exact kernel
     # ------------------------------------------------------------------
-    def _grow_exact(self, X, y, lam, new_node, splittable, draw_feats,
-                    nodes) -> None:
-        """Depth-first growth with an explicit stack of (id, idx, depth)."""
-        children_left, children_right, feature, threshold = nodes
-        n_samples = X.shape[0]
-        # Feature-major copy: per-node gathers read contiguous
-        # per-feature rows instead of scattering across the sample-major
-        # layout (same values, so fitted trees are bit-identical).
-        XT = np.ascontiguousarray(X.T)
-        root = new_node(np.arange(n_samples))
-        stack: list[tuple[int, np.ndarray, int]] = [
-            (root, np.arange(n_samples), 0)
-        ]
-        while stack:
-            node_id, idx, depth = stack.pop()
-            if not splittable(node_id, idx, depth):
-                continue
-            feats = draw_feats()
-            best = self._best_split(XT, y, idx, feats, lam)
-            if best is None:
-                continue
-            gain, feat, thr, left_mask = best
-            if gain / n_samples < self.min_impurity_decrease:
-                continue
+    def _grow_exact(self, X, y, ranks, lam, rng, k_features, lists) -> None:
+        """Depth-first growth with an explicit stack of nodes."""
+        (children_left, children_right, feature, threshold,
+         value, n_node, impurity) = lists
+        n_samples, n_features = X.shape
+        min_split = max(self.min_samples_split, 2 * self.min_samples_leaf)
+        max_depth = self.max_depth
+        RT = ranks.codes
+        # Split denominators ``count + lambda`` for every count a node
+        # can have, built once per tree (same values as per node).
+        den = np.arange(n_samples + 1, dtype=np.float64) + lam
+        all_feats = np.arange(n_features)
 
-            left_idx = idx[left_mask]
-            right_idx = idx[~left_mask]
-            left_id = new_node(left_idx)
-            right_id = new_node(right_idx)
-            children_left[node_id] = left_id
-            children_right[node_id] = right_id
-            feature[node_id] = int(feat)
-            threshold[node_id] = float(thr)
-            stack.append((left_id, left_idx, depth + 1))
-            stack.append((right_id, right_idx, depth + 1))
+        def new_node(n: int, y_node: np.ndarray) -> int:
+            total = float(np.add.reduce(y_node))
+            children_left.append(_LEAF)
+            children_right.append(_LEAF)
+            feature.append(_LEAF)
+            threshold.append(np.nan)
+            value.append(total / (n + lam))
+            n_node.append(n)
+            # What np.mean((y_node - mean) ** 2) executes, without its
+            # per-call dispatch overhead.
+            d = y_node - total / n
+            impurity.append(float(np.add.reduce(d * d) / n))
+            return len(value) - 1
 
-    def _best_split(self, XT, y, idx, feats, lam):
+        idx = np.arange(n_samples)
+        stack = [(new_node(n_samples, y), idx, y, 0)]
+        # Overflowing target sums make NaN gains (inf - inf), which the
+        # search rejects; silence the warnings once per tree.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while stack:
+                node_id, idx, y_node, depth = stack.pop()
+                if (idx.size < min_split
+                        or (max_depth is not None and depth >= max_depth)
+                        or impurity[node_id] == 0.0):
+                    continue
+                if k_features < n_features:
+                    feats = rng.choice(n_features, size=k_features,
+                                       replace=False)
+                    codes = RT[feats[:, None], idx]
+                else:
+                    feats = all_feats
+                    codes = RT[:, idx]
+                best = self._best_split(X, codes, y_node, idx, feats, den)
+                if best is None:
+                    continue
+                gain, feat, thr, left_mask = best
+                if gain / n_samples < self.min_impurity_decrease:
+                    continue
+
+                right_mask = ~left_mask
+                left_idx, right_idx = idx[left_mask], idx[right_mask]
+                left_y, right_y = y_node[left_mask], y_node[right_mask]
+                left_id = new_node(left_idx.size, left_y)
+                right_id = new_node(right_idx.size, right_y)
+                children_left[node_id] = left_id
+                children_right[node_id] = right_id
+                feature[node_id] = feat
+                threshold[node_id] = thr
+                stack.append((left_id, left_idx, left_y, depth + 1))
+                stack.append((right_id, right_idx, right_y, depth + 1))
+
+    def _best_split(self, X, codes, y_node, idx, feats, den):
         """Vectorised search over all (feature, position) candidates.
 
-        ``XT`` is the feature-major (transposed, C-contiguous) training
-        matrix. Returns ``(gain, feature, threshold, left_mask)`` for
+        ``codes`` is the node's ``(len(feats), len(idx))`` block of rank
+        codes (:class:`FeatureRanks`), ``y_node`` is ``y[idx]``, ``X``
+        the training matrix and ``den`` the per-tree table of ``count +
+        lambda``. Returns ``(gain, feature, threshold, left_mask)`` for
         the best valid split, or ``None`` when no candidate satisfies
         the ``min_samples_leaf`` and strict-ordering constraints.
         """
         n = idx.size
-        Xs = XT[np.ix_(feats, idx)]                    # (f, n)
-        order = np.argsort(Xs, axis=1, kind="stable")  # (f, n)
-        sorted_x = np.take_along_axis(Xs, order, axis=1)
-        sorted_y = y[idx][order]                       # (f, n)
+        n_feats = feats.size
+        # Codes sort as the values do, so this stable order is the one a
+        # stable float argsort gives, and on uint16 codes it is a radix
+        # sort.
+        order = codes.argsort(axis=1, kind="stable")
+        cum = y_node[order]                             # sorted targets
+        np.cumsum(cum, axis=1, out=cum)                 # prefix sums
+        total = cum[:, -1]                              # (f,)
 
-        cum = np.cumsum(sorted_y, axis=1)              # prefix target sums
-        total = cum[:, -1]                             # (f,)
-
-        # Candidate split after position i: left = [0..i], right = [i+1..].
-        counts_left = np.arange(1, n, dtype=np.float64)[None, :]
-        counts_right = n - counts_left
+        # Candidate split after position i: left = [0..i] (count i+1),
+        # right = [i+1..] (count n-i-1). In-place steps, same operations
+        # in the same order as sl**2/(nl+lam) + sr**2/(nr+lam) -
+        # t**2/(n+lam).
         sum_left = cum[:, :-1]
-        sum_right = total[:, None] - sum_left
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = (
-                sum_left**2 / (counts_left + lam)
-                + sum_right**2 / (counts_right + lam)
-                - total[:, None] ** 2 / (n + lam)
-            )
+        gain = np.square(sum_left)
+        gain /= den[1:n]
+        right = total[:, None] - sum_left
+        np.square(right, out=right)
+        right /= den[n - 1:0:-1]
+        gain += right
+        gain -= np.square(total)[:, None] / den[n]
 
         # Invalid where equal adjacent values (can't separate) or leaf-size
-        # constraints would be violated.
-        valid = sorted_x[:, :-1] < sorted_x[:, 1:]
+        # constraints would be violated. ``order`` becomes a flat index
+        # into ``codes`` to gather the sorted codes.
+        order += np.arange(0, n_feats * n, n)[:, None]
+        sorted_codes = codes.ravel()[order]
+        invalid = sorted_codes[:, :-1] == sorted_codes[:, 1:]
         msl = self.min_samples_leaf
         if msl > 1:
-            pos = np.arange(1, n)[None, :]
-            valid &= (pos >= msl) & ((n - pos) >= msl)
-        if not valid.any():
+            invalid[:, :msl - 1] = True
+            invalid[:, n - msl:] = True
+        if invalid.all():
             # Degenerate node (e.g. every candidate feature constant):
             # the whole gain matrix is -inf. Bail out explicitly rather
             # than relying on argmax: argmax over an all--inf array
             # returns index 0, which was only ever safe because the
             # finite-gain check below rejected it.
             return None
-        gain = np.where(valid, gain, -np.inf)
+        gain[invalid] = -np.inf
 
         # Scan the transposed view so ties break in (position, feature)
         # order — the same flat order the sample-major layout used, which
         # keeps exact-mode trees bit-identical across kernel refactors.
-        flat = int(np.argmax(gain.T))
-        row, col = np.unravel_index(flat, (n - 1, len(feats)))
-        best_gain = gain[col, row]
-        if not np.isfinite(best_gain) or best_gain <= 0.0:
+        row, col = divmod(int(gain.T.argmax()), n_feats)
+        best_gain = float(gain[col, row])
+        if not math.isfinite(best_gain) or best_gain <= 0.0:
             return None
-        thr = 0.5 * (sorted_x[col, row] + sorted_x[col, row + 1])
+        # Threshold and mask come from the values, not the codes: the
+        # threshold keeps the bytes of the rows it splits, and a midpoint
+        # that overflows to an infinity or NaN routes rows as the value
+        # comparison does.
+        x_col = X[:, feats[col]]
+        base = col * n
+        lo = x_col[idx[order[col, row] - base]]
+        hi = x_col[idx[order[col, row + 1] - base]]
+        thr = 0.5 * (lo + hi)
         # Guard against midpoint rounding onto the upper value.
-        if thr >= sorted_x[col, row + 1]:
-            thr = sorted_x[col, row]
-        left_mask = Xs[col, :] <= thr
-        return float(best_gain), int(feats[col]), float(thr), left_mask
+        if thr >= hi:
+            thr = lo
+        left_mask = x_col[idx] <= thr
+        return best_gain, int(feats[col]), float(thr), left_mask
 
     # ------------------------------------------------------------------
     # histogram kernel

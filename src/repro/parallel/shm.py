@@ -500,6 +500,7 @@ def share_payload(obj, share, _depth: int = 0):
     :meth:`SharedDataset.share`, which applies the size threshold and
     degrades gracefully.  Objects exposing ``__shm_share__(share)``
     (e.g. :class:`repro.ml.tree.FeatureBins`,
+    :class:`repro.ml.tree.FeatureRanks`,
     :class:`repro.ml.compiled.CompiledEnsemble`) return a copy of
     themselves with their internal arrays shared.
     """

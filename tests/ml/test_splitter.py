@@ -9,6 +9,8 @@ tolerance of exact on the same data).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import (
     DecisionTreeRegressor,
@@ -16,7 +18,13 @@ from repro.ml import (
     RandomForestRegressor,
     mean_squared_error,
 )
-from repro.ml.tree import MAX_BINS, FeatureBins, bin_features
+from repro.ml.tree import (
+    MAX_BINS,
+    FeatureBins,
+    FeatureRanks,
+    bin_features,
+    rank_features,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +157,77 @@ class TestHistInvariants:
         bins = bin_features(X)
         with pytest.raises(ValueError, match="splitter"):
             DecisionTreeRegressor(splitter="exact").fit(X, y, bins=bins)
+        ranks = rank_features(X)
+        with pytest.raises(ValueError, match="splitter"):
+            DecisionTreeRegressor(splitter="hist").fit(X, y, bins=ranks)
+
+    def test_ranks_shape_must_match(self, data):
+        X, y = data
+        ranks = rank_features(X[:, :5])
+        with pytest.raises(ValueError, match="shape"):
+            DecisionTreeRegressor().fit(X, y, bins=ranks)
 
     def test_unknown_splitter_rejected(self):
         with pytest.raises(ValueError, match="splitter"):
             DecisionTreeRegressor(splitter="fancy")
+
+
+_RANK_VALUES = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]),
+)
+
+
+class TestFeatureRanks:
+    """``rank_features`` codes must sort exactly as the values do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stable_order_matches_float_argsort_on_any_rows(self, data):
+        n = data.draw(st.integers(1, 40))
+        n_features = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(_RANK_VALUES, min_size=1, max_size=6))
+        X = np.array(data.draw(st.lists(
+            st.sampled_from(pool), min_size=n * n_features,
+            max_size=n * n_features)), dtype=np.float64
+        ).reshape(n, n_features)
+        rows = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=60)))
+        codes = rank_features(X).take(rows).codes
+        assert codes.dtype == np.uint16
+        got = np.argsort(codes, axis=1, kind="stable")
+        want = np.argsort(X[rows].T, axis=1, kind="stable")
+        assert np.array_equal(got, want)
+
+    def test_dense_ranks_tie_signed_zeros(self):
+        X = np.array([[2.0], [-0.0], [0.0], [-np.inf], [2.0], [np.inf]])
+        codes = rank_features(X).codes
+        assert codes.tolist() == [[2, 1, 1, 0, 2, 3]]
+
+    def test_int64_codes_above_uint16_rows(self):
+        rng = np.random.default_rng(0)
+        X = rng.choice([-0.0, 0.0, 1.5], size=(70_000, 1))
+        ranks = rank_features(X)
+        assert ranks.codes.dtype == np.int64
+        assert ranks.codes.shape == (1, 70_000)
+        assert np.array_equal(ranks.codes[0], (X[:, 0] > 0).astype(np.int64))
+        assert np.array_equal(
+            np.argsort(ranks.codes[0], kind="stable"),
+            np.argsort(X[:, 0], kind="stable"))
+
+    def test_take_and_share_keep_type(self, data):
+        X, _ = data
+        ranks = rank_features(X)
+        assert isinstance(ranks, FeatureRanks)
+        rows = np.array([3, 3, 0])
+        assert np.array_equal(ranks.take(rows).codes, ranks.codes[:, rows])
+        shared = ranks.__shm_share__(lambda a: a.copy())
+        assert isinstance(shared, FeatureRanks)
+        assert np.array_equal(shared.codes, ranks.codes)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            rank_features(np.array([[1.0], [np.nan]]))
 
 
 class TestConstantFeatures:
